@@ -316,6 +316,17 @@ mod tests {
         assert!(text.contains("deployment"));
     }
 
+    /// Regression: the 16-user Goerli sweep of `tables` aborted with
+    /// `InsufficientBalance` once the base fee had climbed far enough for
+    /// a 3M-gas deploy's worst-case reservation to exceed a prover's
+    /// 1-ETH initial funding. Wallets now draw the shortfall from the
+    /// faucet, so the sweep completes with every user measured.
+    #[test]
+    fn goerli_16_user_sweep_completes() {
+        let results = run_network(&presets::goerli(), 16, EVAL_SEED);
+        assert_eq!(results.deploy_latencies().len() + results.attach_latencies().len(), 16);
+    }
+
     #[test]
     fn table_render_smoke() {
         // A tiny devnet run just to exercise the rendering path.

@@ -12,7 +12,7 @@ use pol_crypto::sha256;
 use pol_evm::EvmView;
 use pol_ledger::{
     Address, Block, BlockHash, CodeCache, ContractId, Currency, LedgerError, Receipt, Transaction,
-    TxId, WorldState,
+    TxId, VerifiedTx, WorldState,
 };
 use pol_store::StateBackend;
 use rand::rngs::StdRng;
@@ -74,7 +74,7 @@ pub struct ChainConfig {
 }
 
 pub(crate) struct PendingTx {
-    pub(crate) tx: Transaction,
+    pub(crate) tx: VerifiedTx,
     pub(crate) submitted_ms: u64,
     pub(crate) arrival_ms: u64,
 }
@@ -350,7 +350,7 @@ impl Chain {
     /// the registered gas certificates (`None` when no certificate
     /// covers the call). AVM payloads are consulted by transaction id,
     /// so callers must have stashed them before asking.
-    fn static_gas_bound(&self, tx: &Transaction) -> Option<u64> {
+    fn static_gas_bound(&self, tx: &VerifiedTx) -> Option<u64> {
         let pol_ledger::TxKind::ContractCall(cid) = &tx.kind else { return None };
         let (calldata, app_args): (&[u8], &[Vec<u8>]) = match self.config.vm {
             VmKind::Evm => (&tx.data, &[]),
@@ -362,11 +362,12 @@ impl Chain {
         self.gas.resolve(cid, &GasQuery { calldata, app_args })
     }
 
-    /// Submits a signed transaction to the mempool.
+    /// Submits a verified transaction to the mempool. The signature was
+    /// checked when the [`VerifiedTx`] was built
+    /// ([`Transaction::verify`]), so it is not checked again here.
     ///
     /// # Errors
     ///
-    /// * [`LedgerError::BadSignature`] — missing/invalid signature;
     /// * [`LedgerError::BadNonce`] — nonce gap;
     /// * [`LedgerError::FeeOverflow`] — `value + gas_limit ×
     ///   max_fee_per_gas` exceeds `u128`; wrapping would let an
@@ -375,10 +376,7 @@ impl Chain {
     ///   less gas than its static worst-case certificate;
     /// * [`LedgerError::InsufficientBalance`] — value plus worst-case fee
     ///   (certificate-priced for certified calls) exceeds the balance.
-    pub fn submit(&mut self, tx: Transaction) -> Result<TxId, LedgerError> {
-        if !tx.verify_signature() {
-            return Err(LedgerError::BadSignature);
-        }
+    pub fn submit(&mut self, tx: VerifiedTx) -> Result<TxId, LedgerError> {
         let expected = self.next_nonce(tx.from);
         if tx.nonce != expected {
             return Err(LedgerError::BadNonce { expected, got: tx.nonce });
@@ -499,13 +497,14 @@ impl Chain {
         }
     }
 
-    /// Convenience: submit then await.
+    /// Convenience: verify, submit, then await.
     ///
     /// # Errors
     ///
-    /// Propagates [`Chain::submit`] and [`Chain::await_tx`] failures.
+    /// Propagates [`Transaction::verify`], [`Chain::submit`] and
+    /// [`Chain::await_tx`] failures.
     pub fn submit_and_wait(&mut self, tx: Transaction) -> Result<Receipt, LedgerError> {
-        let id = self.submit(tx)?;
+        let id = self.submit(tx.verify()?)?;
         self.await_tx(id)
     }
 
@@ -566,7 +565,7 @@ impl Chain {
             .with_gas_limit(gas_limit)
             .with_fees(max_fee, priority)
             .signed(keypair);
-        self.submit(tx)
+        self.submit(tx.verify()?)
     }
 
     /// Calls an EVM contract.
@@ -600,7 +599,8 @@ impl Chain {
     ) -> Result<Receipt, LedgerError> {
         let from = Address::from_public_key(&keypair.public);
         let digest = program_digest(&program, &args);
-        let tx = Transaction::create(from, digest, self.next_nonce(from)).signed(keypair);
+        let tx =
+            Transaction::create(from, digest, self.next_nonce(from)).signed(keypair).verify()?;
         let id = tx.id();
         self.avm_payloads.insert(id, AvmPayload::Create { program, args });
         let submitted = self.submit(tx);
@@ -638,7 +638,8 @@ impl Chain {
             payment,
             self.next_nonce(from),
         )
-        .signed(keypair);
+        .signed(keypair)
+        .verify()?;
         let id = tx.id();
         self.avm_payloads.insert(id, AvmPayload::Call { args });
         match self.submit(tx) {
@@ -785,7 +786,7 @@ impl Chain {
             let id = pending.tx.id();
             self.avm_payloads.remove(&id);
             self.receipts.insert(id, PendingReceipt { receipt, included_height: height });
-            included.push(pending.tx);
+            included.push(pending.tx.into_inner());
         }
         self.mempool = outcome.leftover;
 
@@ -852,7 +853,8 @@ mod tests {
         let mut chain = presets::goerli().build(2);
         let (_, alice_addr) = chain.create_funded_account(10u128.pow(18));
         let tx = Transaction::transfer(alice_addr, Address::ZERO, 1, 0);
-        assert_eq!(chain.submit(tx), Err(LedgerError::BadSignature));
+        assert!(matches!(chain.submit_and_wait(tx), Err(LedgerError::BadSignature)));
+        assert_eq!(chain.next_nonce(alice_addr), 0);
     }
 
     #[test]
@@ -860,7 +862,10 @@ mod tests {
         let mut chain = presets::goerli().build(3);
         let (alice, alice_addr) = chain.create_funded_account(10u128.pow(18));
         let tx = Transaction::transfer(alice_addr, Address::ZERO, 1, 5).signed(&alice);
-        assert!(matches!(chain.submit(tx), Err(LedgerError::BadNonce { expected: 0, got: 5 })));
+        assert!(matches!(
+            chain.submit(tx.verify().unwrap()),
+            Err(LedgerError::BadNonce { expected: 0, got: 5 })
+        ));
     }
 
     #[test]
@@ -871,7 +876,10 @@ mod tests {
         let tx = Transaction::transfer(alice_addr, Address::ZERO, 50, 0)
             .with_fees(max_fee, prio)
             .signed(&alice);
-        assert!(matches!(chain.submit(tx), Err(LedgerError::InsufficientBalance { .. })));
+        assert!(matches!(
+            chain.submit(tx.verify().unwrap()),
+            Err(LedgerError::InsufficientBalance { .. })
+        ));
     }
 
     /// Regression: `submit` computed `gas_limit × max_fee_per_gas`
@@ -887,7 +895,7 @@ mod tests {
         let tx = Transaction::transfer(alice_addr, Address::ZERO, 1, 0)
             .with_fees(u128::MAX, 0)
             .signed(&alice);
-        assert!(matches!(chain.submit(tx), Err(LedgerError::FeeOverflow { .. })));
+        assert!(matches!(chain.submit(tx.verify().unwrap()), Err(LedgerError::FeeOverflow { .. })));
         // The rejected transaction must not have consumed the nonce.
         assert_eq!(chain.next_nonce(alice_addr), 0);
     }
@@ -903,13 +911,16 @@ mod tests {
         let tx = Transaction::transfer(alice_addr, Address::ZERO, u128::MAX, 0)
             .with_fees(max_fee, prio)
             .signed(&alice);
-        assert!(matches!(chain.submit(tx), Err(LedgerError::FeeOverflow { .. })));
+        assert!(matches!(chain.submit(tx.verify().unwrap()), Err(LedgerError::FeeOverflow { .. })));
         // A merely-too-large (but non-overflowing) value still gets the
         // ordinary insufficient-balance rejection.
         let tx = Transaction::transfer(alice_addr, Address::ZERO, 10u128.pow(19), 0)
             .with_fees(max_fee, prio)
             .signed(&alice);
-        assert!(matches!(chain.submit(tx), Err(LedgerError::InsufficientBalance { .. })));
+        assert!(matches!(
+            chain.submit(tx.verify().unwrap()),
+            Err(LedgerError::InsufficientBalance { .. })
+        ));
     }
 
     /// The same overflow on the AVM side: the flat fee can't overflow the
@@ -919,7 +930,7 @@ mod tests {
         let mut chain = presets::devnet_algo().build(42);
         let (alice, alice_addr) = chain.create_funded_account(10_000_000);
         let tx = Transaction::transfer(alice_addr, Address::ZERO, u128::MAX, 0).signed(&alice);
-        assert!(matches!(chain.submit(tx), Err(LedgerError::FeeOverflow { .. })));
+        assert!(matches!(chain.submit(tx.verify().unwrap()), Err(LedgerError::FeeOverflow { .. })));
     }
 
     #[test]
@@ -931,7 +942,7 @@ mod tests {
         let tx = Transaction::transfer(alice_addr, bob_addr, 9, 0)
             .with_fees(max_fee, prio)
             .signed(&alice);
-        let id = chain.submit(tx).unwrap();
+        let id = chain.submit(tx.verify().unwrap()).unwrap();
         // Nothing confirmed yet, and polling must not mint blocks.
         let height = chain.height();
         assert!(chain.poll_receipt(id).is_none());
@@ -1053,7 +1064,7 @@ mod tests {
                     let tx = Transaction::transfer(*addr, to, 100 + round as u128, round)
                         .with_fees(max_fee, prio)
                         .signed(kp);
-                    ids.push(chain.submit(tx).unwrap());
+                    ids.push(chain.submit(tx.verify().unwrap()).unwrap());
                 }
             }
             let receipts: Vec<String> =
@@ -1087,8 +1098,8 @@ mod tests {
         // balance check passed at submission, before tx1 executed.
         let tx1 = Transaction::transfer(alice_addr, bob_addr, fee + 9, 0).signed(&alice);
         let tx2 = Transaction::transfer(alice_addr, bob_addr, 0, 1).signed(&alice);
-        let id1 = chain.submit(tx1).unwrap();
-        let id2 = chain.submit(tx2).unwrap();
+        let id1 = chain.submit(tx1.verify().unwrap()).unwrap();
+        let id2 = chain.submit(tx2.verify().unwrap()).unwrap();
         assert!(chain.await_tx(id1).unwrap().status.is_success());
         let r2 = chain.await_tx(id2).unwrap();
         // tx2 could only pay 1 base unit of its flat fee.
@@ -1155,7 +1166,7 @@ mod tests {
                 let tx = Transaction::transfer(addr, to, 1_000 + u128::from(i), 0)
                     .with_fees(max_fee, prio)
                     .signed(&kp);
-                ids.push(chain.submit(tx).unwrap());
+                ids.push(chain.submit(tx.verify().unwrap()).unwrap());
             }
             let receipts: Vec<String> =
                 ids.into_iter().map(|id| format!("{:?}", chain.await_tx(id).unwrap())).collect();

@@ -940,9 +940,19 @@ fn execute_tx(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pol_crypto::ed25519::Keypair;
+
+    fn key(b: u8) -> Keypair {
+        Keypair::from_seed(&[b; 32])
+    }
 
     fn addr(b: u8) -> Address {
-        Address([b; 20])
+        Address::from_public_key(&key(b).public)
+    }
+
+    /// `tx` signed by `key(from)` and verified, as the mempool holds it.
+    fn pending(from: u8, tx: Transaction) -> PendingTx {
+        PendingTx { tx: tx.signed(&key(from)).verify().unwrap(), submitted_ms: 0, arrival_ms: 0 }
     }
 
     fn empty_registry() -> &'static AccessRegistry {
@@ -984,8 +994,7 @@ mod tests {
     }
 
     fn transfer(from: u8, to: u8, value: u128) -> PendingTx {
-        let tx = Transaction::transfer(addr(from), addr(to), value, 0).with_fees(2, 1);
-        PendingTx { tx, submitted_ms: 0, arrival_ms: 0 }
+        pending(from, Transaction::transfer(addr(from), addr(to), value, 0).with_fees(2, 1))
     }
 
     #[test]
@@ -1245,7 +1254,7 @@ mod tests {
         world.set_balance(addr(9), 1_000_000_000);
         let deploy =
             Transaction::create(addr(9), vec![0x00], 0).with_gas_limit(100_000).with_fees(2, 1);
-        pool.push(PendingTx { tx: deploy, submitted_ms: 0, arrival_ms: 0 });
+        pool.push(pending(9, deploy));
         let mut stats = ExecStats::default();
         let outcome = run_block(
             &ctx,
@@ -1292,8 +1301,9 @@ mod tests {
         let ctx = ctx_evm(&payloads);
         let mut world = WorldState::new();
         world.set_balance(addr(1), 1_000_000_000);
-        let mut pending = transfer(1, 0, 5_000);
-        pending.tx.to = None;
+        let mut tx = Transaction::transfer(addr(1), addr(0), 5_000, 0).with_fees(2, 1);
+        tx.to = None;
+        let pending = pending(1, tx);
         let mut stats = ExecStats::default();
         let outcome = run_block(
             &ctx,

@@ -24,7 +24,7 @@
 //! let (alice, alice_addr) = chain.create_funded_account(10_000_000);
 //! let (_, bob_addr) = chain.create_funded_account(0);
 //! let tx = Transaction::transfer(alice_addr, bob_addr, 5_000, 0).signed(&alice);
-//! let id = chain.submit(tx)?;
+//! let id = chain.submit(tx.verify()?)?;
 //! let receipt = chain.await_tx(id)?;
 //! assert!(receipt.status.is_success());
 //! assert!(receipt.latency_ms() > 0);

@@ -58,14 +58,15 @@ impl NodeProvider {
     /// # Errors
     ///
     /// [`LedgerError::BadSignature`] for an unknown API key (the provider
-    /// rejects unauthenticated requests), or any chain submission error.
+    /// rejects unauthenticated requests) or an invalid transaction
+    /// signature, or any chain submission error.
     pub fn send_raw_transaction(
         &self,
         api_key: &str,
         tx: Transaction,
     ) -> Result<TxId, LedgerError> {
         self.check_key(api_key)?;
-        self.chain.lock().submit(tx)
+        self.chain.lock().submit(tx.verify()?)
     }
 
     /// Waits for a transaction and returns its receipt.

@@ -31,7 +31,7 @@ fn run_workload(mut chain: Chain, mode: ExecutionMode) -> (Vec<String>, [u8; 32]
             let tx = Transaction::transfer(*addr, to, 100 + u128::from(round), round)
                 .with_fees(max_fee, prio)
                 .signed(kp);
-            ids.push(chain.submit(tx).unwrap());
+            ids.push(chain.submit(tx.verify().unwrap()).unwrap());
         }
     }
     let receipts = ids.into_iter().map(|id| format!("{:?}", chain.await_tx(id).unwrap())).collect();

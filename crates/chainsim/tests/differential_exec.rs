@@ -126,7 +126,7 @@ fn run(
                 let tx = Transaction::transfer(*addr, to_addr, value, chain.next_nonce(*addr))
                     .with_fees(max_fee, prio)
                     .signed(kp);
-                ids.push(chain.submit(tx).unwrap());
+                ids.push(chain.submit(tx.verify().unwrap()).unwrap());
             }
             Action::Invoke { user, slot, value } => {
                 let kp = &users[user % USERS].0;

@@ -22,7 +22,7 @@ use pol_did::{Did, DidRegistry, Identity};
 use pol_geo::{olc, Coordinates, OlcCode};
 use pol_hypercube::Hypercube;
 use pol_lang::backend::AbiValue;
-use pol_ledger::{Address, Amount, ContractId, Transaction};
+use pol_ledger::{Address, Amount, ContractId, LedgerError, Transaction};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -392,7 +392,7 @@ impl PolSystem {
                 .with_fees(max_fee, prio);
         tx.data = did_digest.to_be_bytes().to_vec();
         let tx = tx.signed(&keys);
-        let receipt = self.chain.submit_and_wait(tx)?;
+        let receipt = with_faucet(&mut self.chain, |chain| chain.submit_and_wait(tx.clone()))?;
         *fee = fee.checked_add(&receipt.fee).expect("same currency");
         *txs += 1;
         Ok(())
@@ -411,7 +411,7 @@ impl PolSystem {
         let tx = Transaction::transfer(from, to, value, self.chain.next_nonce(from))
             .with_fees(max_fee, prio)
             .signed(from_keys);
-        let receipt = self.chain.submit_and_wait(tx)?;
+        let receipt = with_faucet(&mut self.chain, |chain| chain.submit_and_wait(tx.clone()))?;
         *fee = fee.checked_add(&receipt.fee).expect("same currency");
         *txs += 1;
         Ok(())
@@ -453,7 +453,9 @@ impl PolSystem {
         let contract = match self.chain.config.vm {
             VmKind::Evm => {
                 let init = self.factory.evm_init_code(&ctor)?;
-                let receipt = self.chain.deploy_evm(&keys, init, 3_000_000)?;
+                let receipt = with_faucet(&mut self.chain, |chain| {
+                    chain.deploy_evm(&keys, init.clone(), 3_000_000)
+                })?;
                 *fee = fee.checked_add(&receipt.fee).expect("same currency");
                 *txs += 1;
                 let contract = receipt.created.ok_or_else(|| {
@@ -469,7 +471,9 @@ impl PolSystem {
                     .compiled()
                     .evm
                     .encode_call("insert_data", &Self::insert_args(entry, did_digest))?;
-                let receipt = self.chain.call_evm(&keys, contract, data, 0, 1_000_000)?;
+                let receipt = with_faucet(&mut self.chain, |chain| {
+                    chain.call_evm(&keys, contract, data.clone(), 0, 1_000_000)
+                })?;
                 self.expect_success(&receipt)?;
                 *fee = fee.checked_add(&receipt.fee).expect("same currency");
                 *txs += 1;
@@ -478,11 +482,10 @@ impl PolSystem {
             VmKind::Avm => {
                 // App creation.
                 let args = self.factory.avm_create_args(&ctor)?;
-                let receipt = self.chain.deploy_app(
-                    &keys,
-                    self.factory.compiled().avm.program.clone(),
-                    args,
-                )?;
+                let program = &self.factory.compiled().avm.program;
+                let receipt = with_faucet(&mut self.chain, |chain| {
+                    chain.deploy_app(&keys, program.clone(), args.clone())
+                })?;
                 *fee = fee.checked_add(&receipt.fee).expect("same currency");
                 *txs += 1;
                 let contract = receipt.created.ok_or_else(|| {
@@ -507,7 +510,9 @@ impl PolSystem {
                     .compiled()
                     .avm
                     .encode_call("insert_data", &Self::insert_args(entry, did_digest))?;
-                let receipt = self.chain.call_app(&keys, app_id, args, 0)?;
+                let receipt = with_faucet(&mut self.chain, |chain| {
+                    chain.call_app(&keys, app_id, args.clone(), 0)
+                })?;
                 self.expect_success(&receipt)?;
                 *fee = fee.checked_add(&receipt.fee).expect("same currency");
                 *txs += 1;
@@ -574,7 +579,9 @@ impl PolSystem {
                     .compiled()
                     .evm
                     .encode_call("insert_data", &Self::insert_args(entry, did_digest))?;
-                let receipt = self.chain.call_evm(&keys, contract, data, 0, 1_000_000)?;
+                let receipt = with_faucet(&mut self.chain, |chain| {
+                    chain.call_evm(&keys, contract, data.clone(), 0, 1_000_000)
+                })?;
                 self.expect_success(&receipt)?;
                 *fee = fee.checked_add(&receipt.fee).expect("same currency");
                 *txs += 1;
@@ -589,7 +596,9 @@ impl PolSystem {
                     .compiled()
                     .avm
                     .encode_call("insert_data", &Self::insert_args(entry, did_digest))?;
-                let receipt = self.chain.call_app(&keys, app_id, args, 0)?;
+                let receipt = with_faucet(&mut self.chain, |chain| {
+                    chain.call_app(&keys, app_id, args.clone(), 0)
+                })?;
                 self.expect_success(&receipt)?;
                 *fee = fee.checked_add(&receipt.fee).expect("same currency");
                 *txs += 1;
@@ -688,13 +697,17 @@ impl PolSystem {
             let id = match self.chain.config.vm {
                 VmKind::Evm => {
                     let data = self.factory.compiled().evm.encode_call("verify", &verify_args)?;
-                    self.chain.submit_call_evm(&verifier_keys, contract, data, 0, 1_000_000)?
+                    with_faucet(&mut self.chain, |chain| {
+                        chain.submit_call_evm(&verifier_keys, contract, data.clone(), 0, 1_000_000)
+                    })?
                 }
                 VmKind::Avm => {
                     let app_id = contract.as_app().expect("avm contract");
                     let call_args =
                         self.factory.compiled().avm.encode_call("verify", &verify_args)?;
-                    self.chain.submit_call_app(&verifier_keys, app_id, call_args, 0)?
+                    with_faucet(&mut self.chain, |chain| {
+                        chain.submit_call_app(&verifier_keys, app_id, call_args.clone(), 0)
+                    })?
                 }
             };
             awaiting.push((did_digest, entry, id, start));
@@ -760,7 +773,9 @@ impl PolSystem {
         let receipt = match self.chain.config.vm {
             VmKind::Evm => {
                 let data = self.factory.compiled().evm.encode_call(api, args)?;
-                self.chain.call_evm(keys, contract, data, value, 1_000_000)?
+                with_faucet(&mut self.chain, |chain| {
+                    chain.call_evm(keys, contract, data.clone(), value, 1_000_000)
+                })?
             }
             VmKind::Avm => {
                 let app_id = contract.as_app().expect("avm contract");
@@ -769,7 +784,9 @@ impl PolSystem {
                 } else {
                     self.factory.compiled().avm.encode_call(api, args)?
                 };
-                self.chain.call_app(keys, app_id, call_args, value)?
+                with_faucet(&mut self.chain, |chain| {
+                    chain.call_app(keys, app_id, call_args.clone(), value)
+                })?
             }
         };
         self.expect_success(&receipt)?;
@@ -785,6 +802,29 @@ impl PolSystem {
                 pol_ledger::LedgerError::ExecutionFailed(format!("reverted: {msg}")),
             )),
         }
+    }
+}
+
+/// Runs one chain submission; when the chain refuses it with
+/// [`LedgerError::InsufficientBalance`], mints the shortfall to the sender
+/// (a testnet faucet draw) and retries once.
+///
+/// Admission reserves the worst-case fee, `gas_limit × max_fee_per_gas`
+/// with the fee cap at twice the base fee, and the EIP-1559 base fee has
+/// no ceiling: on Goerli it can climb from 45 to over 180 gwei within 30
+/// blocks, where a 3M-gas deploy reserves more than the 1-ETH initial
+/// funding. The refusal comes before the chain takes the transaction, so
+/// a submission that is never refused runs exactly as before.
+fn with_faucet<T>(
+    chain: &mut Chain,
+    submit: impl Fn(&mut Chain) -> Result<T, LedgerError>,
+) -> Result<T, LedgerError> {
+    match submit(chain) {
+        Err(LedgerError::InsufficientBalance { address, needed, available }) => {
+            chain.fund(address, needed - available);
+            submit(chain)
+        }
+        other => other,
     }
 }
 

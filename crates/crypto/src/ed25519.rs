@@ -3,21 +3,66 @@
 //! Used throughout the proof-of-location system: witnesses sign location
 //! proofs, DID controllers prove key possession, validators sign blocks and
 //! sortition credentials.
+//!
+//! # Accept rule
+//!
+//! [`PublicKey::verify`] accepts a signature (R, s) on message M under key
+//! A exactly when:
+//!
+//! * s < ℓ (a non-canonical s is rejected, which also rules out
+//!   malleability);
+//! * A and R decode to curve points. Encodings of y ≥ p are accepted and
+//!   read modulo p, as are small-order and mixed-order points; x = 0 with
+//!   the sign bit set is rejected;
+//! * R = [s]B − [k]A with k = SHA-512(R ‖ A ‖ M) mod ℓ, hashing the
+//!   encodings as received. The check is cofactorless and compares
+//!   points, not encodings, so a non-canonical encoding of the right R
+//!   verifies.
+//!
+//! Verification computes [s]B − [k]A in one joint double-scalar loop
+//! ([`Point::vartime_double_scalar_mul_base`]). It is **variable-time**,
+//! which is fine because every input of a verification is public. Signing
+//! and key generation multiply secret scalars with the double-and-add
+//! [`Point::scalar_mul`], which makes no constant-time claim either.
 
 use crate::field25519::Fe;
 use crate::scalar;
 use crate::sha512::Sha512;
 use crate::{hex, CryptoError};
+use std::sync::OnceLock;
 
 /// The curve constant d = −121665/121666.
-fn fe_d() -> Fe {
-    const BYTES: [u8; 32] = [
-        0xa3, 0x78, 0x59, 0x13, 0xca, 0x4d, 0xeb, 0x75, 0xab, 0xd8, 0x41, 0x41, 0x4d, 0x0a, 0x70,
-        0x00, 0x98, 0xe8, 0x79, 0x77, 0x79, 0x40, 0xc7, 0x8c, 0x73, 0xfe, 0x6f, 0x2b, 0xee, 0x6c,
-        0x03, 0x52,
-    ];
-    Fe::from_bytes(&BYTES)
-}
+const D: Fe = Fe::from_bytes(&[
+    0xa3, 0x78, 0x59, 0x13, 0xca, 0x4d, 0xeb, 0x75, 0xab, 0xd8, 0x41, 0x41, 0x4d, 0x0a, 0x70, 0x00,
+    0x98, 0xe8, 0x79, 0x77, 0x79, 0x40, 0xc7, 0x8c, 0x73, 0xfe, 0x6f, 0x2b, 0xee, 0x6c, 0x03, 0x52,
+]);
+
+/// 2d, the constant of the addition formulas.
+const D2: Fe = Fe::from_bytes(&[
+    0x59, 0xf1, 0xb2, 0x26, 0x94, 0x9b, 0xd6, 0xeb, 0x56, 0xb1, 0x83, 0x82, 0x9a, 0x14, 0xe0, 0x00,
+    0x30, 0xd1, 0xf3, 0xee, 0xf2, 0x80, 0x8e, 0x19, 0xe7, 0xfc, 0xdf, 0x56, 0xdc, 0xd9, 0x06, 0x24,
+]);
+
+/// The standard base point B (y = 4/5, x even) in extended coordinates.
+const BASE: Point = Point {
+    x: Fe::from_bytes(&[
+        0x1a, 0xd5, 0x25, 0x8f, 0x60, 0x2d, 0x56, 0xc9, 0xb2, 0xa7, 0x25, 0x95, 0x60, 0xc7, 0x2c,
+        0x69, 0x5c, 0xdc, 0xd6, 0xfd, 0x31, 0xe2, 0xa4, 0xc0, 0xfe, 0x53, 0x6e, 0xcd, 0xd3, 0x36,
+        0x69, 0x21,
+    ]),
+    y: Fe::from_bytes(&BASE_Y_BYTES),
+    z: Fe::ONE,
+    t: Fe::from_bytes(&[
+        0xa3, 0xdd, 0xb7, 0xa5, 0xb3, 0x8a, 0xde, 0x6d, 0xf5, 0x52, 0x51, 0x77, 0x80, 0x9f, 0xf0,
+        0x20, 0x7d, 0xe3, 0xab, 0x64, 0x8e, 0x4e, 0xea, 0x66, 0x65, 0x76, 0x8b, 0xd7, 0x0f, 0x5f,
+        0x87, 0x67,
+    ]),
+};
+/// The compressed encoding of B (x is even, so the sign bit is clear).
+const BASE_Y_BYTES: [u8; 32] = [
+    0x58, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
+    0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
+];
 
 /// A point on edwards25519 in extended homogeneous coordinates
 /// (X : Y : Z : T) with x = X/Z, y = Y/Z, xy = T/Z.
@@ -37,19 +82,14 @@ impl Point {
 
     /// The standard base point B with y = 4/5.
     pub fn base() -> Point {
-        const BYTES: [u8; 32] = [
-            0x58, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-            0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-            0x66, 0x66, 0x66, 0x66,
-        ];
-        Point::decompress(&BYTES).expect("base point constant is valid")
+        BASE
     }
 
     /// Point addition (unified, complete formulas).
     pub fn add(&self, rhs: &Point) -> Point {
         let a = self.y.sub(&self.x).mul(&rhs.y.sub(&rhs.x));
         let b = self.y.add(&self.x).mul(&rhs.y.add(&rhs.x));
-        let c = self.t.mul(&rhs.t).mul(&fe_d()).mul_small(2);
+        let c = self.t.mul(&rhs.t).mul(&D2);
         let d = self.z.mul(&rhs.z).mul_small(2);
         let e = b.sub(&a);
         let f = d.sub(&c);
@@ -112,7 +152,7 @@ impl Point {
         let y = Fe::from_bytes(bytes);
         let y2 = y.square();
         let u = y2.sub(&Fe::ONE);
-        let v = y2.mul(&fe_d()).add(&Fe::ONE);
+        let v = y2.mul(&D).add(&Fe::ONE);
         // Candidate root of u/v: (u v^3) (u v^7)^((p−5)/8).
         let v3 = v.square().mul(&v);
         let v7 = v3.square().mul(&v);
@@ -148,6 +188,227 @@ impl PartialEq for Point {
 }
 
 impl Eq for Point {}
+
+/// (X : Y : Z) with x = X/Z, y = Y/Z: the accumulator of the verify loop,
+/// which only needs T when an addition follows a doubling.
+#[derive(Clone, Copy)]
+struct ProjectivePoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+}
+
+/// ((X : Z), (Y : T)) with x = X/Z, y = Y/T: the result of an addition or
+/// doubling before the final multiplications.
+#[derive(Clone, Copy)]
+struct CompletedPoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+    t: Fe,
+}
+
+/// (Y + X, Y − X, Z, 2dT): an addend cached for repeated additions.
+#[derive(Clone, Copy)]
+struct ProjectiveNiels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    z: Fe,
+    t2d: Fe,
+}
+
+/// (y + x, y − x, 2dxy): an addend with Z = 1, one multiplication cheaper
+/// to add than [`ProjectiveNiels`].
+#[derive(Clone, Copy)]
+struct AffineNiels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+impl ProjectivePoint {
+    const IDENTITY: ProjectivePoint = ProjectivePoint { x: Fe::ZERO, y: Fe::ONE, z: Fe::ONE };
+
+    fn double(&self) -> CompletedPoint {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        let zz2 = zz.add(&zz);
+        let yy_plus_xx = yy.add(&xx);
+        let yy_minus_xx = yy.sub(&xx);
+        CompletedPoint {
+            x: self.x.add(&self.y).square().sub(&yy_plus_xx),
+            y: yy_plus_xx,
+            z: yy_minus_xx,
+            t: zz2.sub(&yy_minus_xx),
+        }
+    }
+
+    fn to_extended(self) -> Point {
+        Point {
+            x: self.x.mul(&self.z),
+            y: self.y.mul(&self.z),
+            z: self.z.square(),
+            t: self.x.mul(&self.y),
+        }
+    }
+}
+
+impl CompletedPoint {
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint { x: self.x.mul(&self.t), y: self.y.mul(&self.z), z: self.z.mul(&self.t) }
+    }
+
+    fn to_extended(self) -> Point {
+        Point {
+            x: self.x.mul(&self.t),
+            y: self.y.mul(&self.z),
+            z: self.z.mul(&self.t),
+            t: self.x.mul(&self.y),
+        }
+    }
+}
+
+impl Point {
+    fn to_projective_niels(self) -> ProjectiveNiels {
+        ProjectiveNiels {
+            y_plus_x: self.y.add(&self.x),
+            y_minus_x: self.y.sub(&self.x),
+            z: self.z,
+            t2d: self.t.mul(&D2),
+        }
+    }
+
+    fn to_affine_niels(self) -> AffineNiels {
+        let zinv = self.z.invert();
+        let x = self.x.mul(&zinv);
+        let y = self.y.mul(&zinv);
+        AffineNiels { y_plus_x: y.add(&x), y_minus_x: y.sub(&x), xy2d: x.mul(&y).mul(&D2) }
+    }
+
+    /// `self ± q` for a cached addend (`negate` selects subtraction).
+    fn add_projective_niels(&self, q: &ProjectiveNiels, negate: bool) -> CompletedPoint {
+        let (q_plus, q_minus) =
+            if negate { (&q.y_minus_x, &q.y_plus_x) } else { (&q.y_plus_x, &q.y_minus_x) };
+        let pp = self.y.add(&self.x).mul(q_plus);
+        let mm = self.y.sub(&self.x).mul(q_minus);
+        let tt2d = self.t.mul(&q.t2d);
+        let zz = self.z.mul(&q.z);
+        let zz2 = zz.add(&zz);
+        let (z, t) = if negate {
+            (zz2.sub(&tt2d), zz2.add(&tt2d))
+        } else {
+            (zz2.add(&tt2d), zz2.sub(&tt2d))
+        };
+        CompletedPoint { x: pp.sub(&mm), y: pp.add(&mm), z, t }
+    }
+
+    /// `self ± q` for an affine cached addend (`negate` selects subtraction).
+    fn add_affine_niels(&self, q: &AffineNiels, negate: bool) -> CompletedPoint {
+        let (q_plus, q_minus) =
+            if negate { (&q.y_minus_x, &q.y_plus_x) } else { (&q.y_plus_x, &q.y_minus_x) };
+        let pp = self.y.add(&self.x).mul(q_plus);
+        let mm = self.y.sub(&self.x).mul(q_minus);
+        let txy2d = self.t.mul(&q.xy2d);
+        let z2 = self.z.add(&self.z);
+        let (z, t) = if negate {
+            (z2.sub(&txy2d), z2.add(&txy2d))
+        } else {
+            (z2.add(&txy2d), z2.sub(&txy2d))
+        };
+        CompletedPoint { x: pp.sub(&mm), y: pp.add(&mm), z, t }
+    }
+
+    /// Computes `[a]self + [b]B` in one joint double-and-add loop
+    /// (Straus/Shamir) over width-w non-adjacent forms: w = 5 for `a`
+    /// with 8 odd multiples of `self` built per call, w = 8 for `b` with
+    /// the cached table of 64 odd multiples of B.
+    ///
+    /// **Variable time**: the running time depends on both scalars, so
+    /// this is only for public inputs (signature verification). Scalars
+    /// are little-endian and must be below 2^255.
+    pub fn vartime_double_scalar_mul_base(&self, a: &[u8; 32], b: &[u8; 32]) -> Point {
+        let a_naf = non_adjacent_form(a, 5);
+        let b_naf = non_adjacent_form(b, 8);
+        let a_table = odd_multiples::<8>(self).map(Point::to_projective_niels);
+        let b_table = base_table();
+        let Some(top) = (0..256).rev().find(|&i| a_naf[i] != 0 || b_naf[i] != 0) else {
+            return Point::identity();
+        };
+        let mut acc = ProjectivePoint::IDENTITY;
+        for i in (0..=top).rev() {
+            let mut sum = acc.double();
+            let digit = a_naf[i];
+            if digit != 0 {
+                let entry = &a_table[usize::from(digit.unsigned_abs() / 2)];
+                sum = sum.to_extended().add_projective_niels(entry, digit < 0);
+            }
+            let digit = b_naf[i];
+            if digit != 0 {
+                let entry = &b_table[usize::from(digit.unsigned_abs() / 2)];
+                sum = sum.to_extended().add_affine_niels(entry, digit < 0);
+            }
+            acc = sum.to_projective();
+        }
+        acc.to_extended()
+    }
+}
+
+/// The odd multiples `p, 3p, 5p, …, (2N − 1)p`.
+fn odd_multiples<const N: usize>(p: &Point) -> [Point; N] {
+    let double = p.double().to_projective_niels();
+    let mut out = [*p; N];
+    for i in 1..N {
+        out[i] = out[i - 1].add_projective_niels(&double, false).to_extended();
+    }
+    out
+}
+
+/// Odd multiples B, 3B, …, 127B in affine cached form, built on first use
+/// (64 × 120 bytes).
+fn base_table() -> &'static [AffineNiels; 64] {
+    static TABLE: OnceLock<[AffineNiels; 64]> = OnceLock::new();
+    TABLE.get_or_init(|| odd_multiples::<64>(&BASE).map(Point::to_affine_niels))
+}
+
+/// Width-`w` non-adjacent form of a little-endian scalar below 2^255:
+/// every digit is zero or odd with |digit| < 2^(w−1), at most one of any
+/// `w` consecutive digits is nonzero, and Σ digit_i·2^i equals the scalar.
+fn non_adjacent_form(scalar: &[u8; 32], w: usize) -> [i8; 256] {
+    debug_assert!((2..=8).contains(&w) && scalar[31] < 0x80);
+    let mut limbs = [0u64; 5];
+    for (i, chunk) in scalar.chunks_exact(8).enumerate() {
+        limbs[i] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    }
+    let width = 1u64 << w;
+    let window_mask = width - 1;
+    let mut naf = [0i8; 256];
+    let mut pos = 0;
+    let mut carry = 0u64;
+    while pos < 256 {
+        let (idx, bit) = (pos / 64, pos % 64);
+        let bits = if bit < 64 - w {
+            limbs[idx] >> bit
+        } else {
+            (limbs[idx] >> bit) | (limbs[idx + 1] << (64 - bit))
+        };
+        let window = carry + (bits & window_mask);
+        if window & 1 == 0 {
+            // An even window: keep the carry and move one bit on.
+            pos += 1;
+            continue;
+        }
+        if window < width / 2 {
+            carry = 0;
+            naf[pos] = window as i8;
+        } else {
+            carry = 1;
+            naf[pos] = (window as i64 - width as i64) as i8;
+        }
+        pos += w;
+    }
+    naf
+}
 
 /// An Ed25519 public key (compressed point).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -314,9 +575,11 @@ impl PublicKey {
         h.update(&self.0);
         h.update(message);
         let k = scalar::reduce64(&h.finalize());
-        let lhs = Point::base().scalar_mul(&signature.s);
-        let rhs = r.add(&a.scalar_mul(&k));
-        lhs.ct_eq(&rhs)
+        // [s]B = R + [k]A, checked as R = [s]B − [k]A on projective
+        // coordinates: R is never re-encoded, so a non-canonical encoding
+        // of a valid R verifies exactly as before.
+        let r_check = a.neg().vartime_double_scalar_mul_base(&k, &signature.s);
+        r_check.ct_eq(&r)
     }
 
     /// Parses a public key from its lowercase hex encoding.

@@ -16,19 +16,16 @@ impl Fe {
     /// The multiplicative identity.
     pub const ONE: Fe = Fe([1, 0, 0, 0, 0]);
 
-    /// Deserializes 32 little-endian bytes, ignoring the top bit.
-    pub fn from_bytes(bytes: &[u8; 32]) -> Fe {
-        let load = |off: usize| -> u64 {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[off..off + 8]);
-            u64::from_le_bytes(b)
-        };
+    /// Deserializes 32 little-endian bytes, ignoring the top bit. Values
+    /// in `[p, 2^255)` are accepted unreduced; arithmetic treats them
+    /// modulo p.
+    pub const fn from_bytes(bytes: &[u8; 32]) -> Fe {
         Fe([
-            load(0) & MASK,
-            (load(6) >> 3) & MASK,
-            (load(12) >> 6) & MASK,
-            (load(19) >> 1) & MASK,
-            (load(24) >> 12) & MASK,
+            load8(bytes, 0) & MASK,
+            (load8(bytes, 6) >> 3) & MASK,
+            (load8(bytes, 12) >> 6) & MASK,
+            (load8(bytes, 19) >> 1) & MASK,
+            (load8(bytes, 24) >> 12) & MASK,
         ])
     }
 
@@ -110,9 +107,28 @@ impl Fe {
         Fe::carry_wide([r0, r1, r2, r3, r4])
     }
 
-    /// Field squaring.
+    /// Field squaring: [`Fe::mul`] with the symmetric cross terms
+    /// folded, 15 limb products instead of 25.
     pub fn square(&self) -> Fe {
-        self.mul(self)
+        let a = &self.0;
+        let m = |x: u64, y: u64| u128::from(x) * u128::from(y);
+        let (a0_2, a1_2, a2_2, a3_2) = (a[0] * 2, a[1] * 2, a[2] * 2, a[3] * 2);
+        let (a3_19, a4_19) = (a[3] * 19, a[4] * 19);
+        let r0 = m(a[0], a[0]) + m(a1_2, a4_19) + m(a2_2, a3_19);
+        let r1 = m(a0_2, a[1]) + m(a2_2, a4_19) + m(a[3], a3_19);
+        let r2 = m(a0_2, a[2]) + m(a[1], a[1]) + m(a3_2, a4_19);
+        let r3 = m(a0_2, a[3]) + m(a1_2, a[2]) + m(a[4], a4_19);
+        let r4 = m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]);
+        Fe::carry_wide([r0, r1, r2, r3, r4])
+    }
+
+    /// Squares `k` times: `self^(2^k)`.
+    fn pow2k(&self, k: u32) -> Fe {
+        let mut out = *self;
+        for _ in 0..k {
+            out = out.square();
+        }
+        out
     }
 
     /// Multiplies by a small scalar constant.
@@ -147,22 +163,39 @@ impl Fe {
         }
     }
 
+    /// Returns `(self^(2^250 − 1), self^11)`: the shared prefix of the
+    /// addition chains for p − 2 and (p − 5)/8, 249 squarings and 10
+    /// multiplications (the generic [`Fe::pow`] needs ~500 operations).
+    fn pow22501(&self) -> (Fe, Fe) {
+        let t0 = self.square(); // 2
+        let t1 = t0.pow2k(2); // 8
+        let t2 = self.mul(&t1); // 9
+        let t3 = t0.mul(&t2); // 11
+        let t4 = t3.square(); // 22
+        let t5 = t2.mul(&t4); // 2^5 − 1
+        let t7 = t5.pow2k(5).mul(&t5); // 2^10 − 1
+        let t9 = t7.pow2k(10).mul(&t7); // 2^20 − 1
+        let t11 = t9.pow2k(20).mul(&t9); // 2^40 − 1
+        let t13 = t11.pow2k(10).mul(&t7); // 2^50 − 1
+        let t15 = t13.pow2k(50).mul(&t13); // 2^100 − 1
+        let t17 = t15.pow2k(100).mul(&t15); // 2^200 − 1
+        let t19 = t17.pow2k(50).mul(&t13); // 2^250 − 1
+        (t19, t3)
+    }
+
     /// Multiplicative inverse (x^(p−2)); returns zero for zero.
     pub fn invert(&self) -> Fe {
-        // p − 2 = 2^255 − 21.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb;
-        exp[31] = 0x7f;
-        self.pow(&exp)
+        // p − 2 = 2^255 − 21 = (2^250 − 1)·2^5 + 11.
+        let (t19, t3) = self.pow22501();
+        t19.pow2k(5).mul(&t3)
     }
 
     /// Raises to (p − 5)/8 = 2^252 − 3, the exponent used by square-root
     /// extraction during point decompression.
     pub fn pow_p58(&self) -> Fe {
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfd;
-        exp[31] = 0x0f;
-        self.pow(&exp)
+        // 2^252 − 3 = (2^250 − 1)·2^2 + 1.
+        let (t19, _) = self.pow22501();
+        t19.pow2k(2).mul(self)
     }
 
     /// Whether the canonical encoding is odd (the "sign" bit of x).
@@ -177,13 +210,7 @@ impl Fe {
 
     /// Constant √−1 in the field, needed during decompression.
     pub fn sqrt_m1() -> Fe {
-        // 2^((p−1)/4): canonical bytes from the Ed25519 reference.
-        const BYTES: [u8; 32] = [
-            0xb0, 0xa0, 0x0e, 0x4a, 0x27, 0x1b, 0xee, 0xc4, 0x78, 0xe4, 0x2f, 0xad, 0x06, 0x18,
-            0x43, 0x2f, 0xa7, 0xd7, 0xfb, 0x3d, 0x99, 0x00, 0x4d, 0x2b, 0x0b, 0xdf, 0xc1, 0x4f,
-            0x80, 0x24, 0x83, 0x2b,
-        ];
-        Fe::from_bytes(&BYTES)
+        SQRT_M1
     }
 
     fn carry_wide(mut r: [u128; 5]) -> Fe {
@@ -216,6 +243,24 @@ impl Fe {
         r[0] += c * 19;
         Fe(r)
     }
+}
+
+/// √−1 = 2^((p−1)/4): canonical bytes from the Ed25519 reference.
+const SQRT_M1: Fe = Fe::from_bytes(&[
+    0xb0, 0xa0, 0x0e, 0x4a, 0x27, 0x1b, 0xee, 0xc4, 0x78, 0xe4, 0x2f, 0xad, 0x06, 0x18, 0x43, 0x2f,
+    0xa7, 0xd7, 0xfb, 0x3d, 0x99, 0x00, 0x4d, 0x2b, 0x0b, 0xdf, 0xc1, 0x4f, 0x80, 0x24, 0x83, 0x2b,
+]);
+
+/// Loads 8 little-endian bytes starting at `off` (a `const` stand-in for
+/// `u64::from_le_bytes` over a subslice).
+const fn load8(bytes: &[u8; 32], off: usize) -> u64 {
+    let mut word = 0u64;
+    let mut i = 0;
+    while i < 8 {
+        word |= (bytes[off + i] as u64) << (8 * i);
+        i += 1;
+    }
+    word
 }
 
 impl PartialEq for Fe {

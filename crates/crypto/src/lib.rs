@@ -7,7 +7,8 @@
 //! * [`sha256`](mod@sha256) / [`sha512`](mod@sha512) — FIPS 180-4 hash
 //!   functions,
 //! * [`keccak`] — Keccak-256 as used by the EVM and Ethereum addresses,
-//! * [`ed25519`] — RFC 8032 signatures over edwards25519,
+//! * [`ed25519`] — RFC 8032 signatures over edwards25519 (cofactorless,
+//!   variable-time verification of public inputs; see its accept rule),
 //! * [`x25519`] — RFC 7748 Diffie–Hellman, used by [`sealed`] boxes for the
 //!   DID challenge–response authentication,
 //! * [`vrf`] — a verifiable random function built from deterministic

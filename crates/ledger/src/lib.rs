@@ -32,7 +32,7 @@ pub use state::{
     OverlayBuffers, ReadSet, StateBase, StateBlob, StateKey, StateValue, StateView, WorldState,
     WriteSet,
 };
-pub use tx::{Transaction, TxId, TxKind};
+pub use tx::{Transaction, TxId, TxKind, VerifiedTx};
 pub use units::{Amount, Currency};
 
 /// Errors surfaced by ledger-level operations.

@@ -1,6 +1,7 @@
 //! Transactions: the unit of interaction with every simulated chain.
 
 use crate::address::{Address, ContractId};
+use crate::LedgerError;
 use pol_crypto::ed25519::{Keypair, PublicKey, Signature};
 use pol_crypto::{hex, sha256};
 
@@ -190,12 +191,63 @@ impl Transaction {
 
     /// Verifies the signature and that the signer controls `from`.
     pub fn verify_signature(&self) -> bool {
+        self.check_signature(&self.signing_bytes())
+    }
+
+    /// Verifies the signature (see [`Transaction::verify_signature`]) and
+    /// wraps the transaction as proof that it did, caching its id.
+    ///
+    /// # Errors
+    ///
+    /// [`LedgerError::BadSignature`] for a missing or invalid signature,
+    /// or a signer that does not control `from`.
+    pub fn verify(self) -> Result<VerifiedTx, LedgerError> {
+        let bytes = self.signing_bytes();
+        if !self.check_signature(&bytes) {
+            return Err(LedgerError::BadSignature);
+        }
+        Ok(VerifiedTx { id: TxId(sha256(&bytes)), tx: self })
+    }
+
+    fn check_signature(&self, signing_bytes: &[u8]) -> bool {
         match &self.authorization {
             Some((pk, sig)) => {
-                Address::from_public_key(pk) == self.from && pk.verify(&self.signing_bytes(), sig)
+                Address::from_public_key(pk) == self.from && pk.verify(signing_bytes, sig)
             }
             None => false,
         }
+    }
+}
+
+/// A transaction whose signature has been checked, with its id cached.
+///
+/// Only [`Transaction::verify`] builds one, and the wrapped transaction
+/// is read-only, so code that takes a `VerifiedTx` (chain submission, the
+/// node's mempool and parking) can rely on the check without repeating
+/// it.
+#[derive(Debug, Clone)]
+pub struct VerifiedTx {
+    tx: Transaction,
+    id: TxId,
+}
+
+impl VerifiedTx {
+    /// The transaction id, computed once at verification.
+    pub fn id(&self) -> TxId {
+        self.id
+    }
+
+    /// Unwraps the transaction, giving up the proof of verification.
+    pub fn into_inner(self) -> Transaction {
+        self.tx
+    }
+}
+
+impl std::ops::Deref for VerifiedTx {
+    type Target = Transaction;
+
+    fn deref(&self) -> &Transaction {
+        &self.tx
     }
 }
 
@@ -225,6 +277,23 @@ mod tests {
         let kp = keypair();
         let tx = Transaction::transfer(addr(&kp), Address::ZERO, 5, 0).signed(&kp);
         assert!(tx.verify_signature());
+    }
+
+    #[test]
+    fn verify_caches_the_id_and_rejects_what_verify_signature_rejects() {
+        let kp = keypair();
+        let tx = Transaction::transfer(addr(&kp), Address::ZERO, 5, 0).signed(&kp);
+        let id = tx.id();
+        let verified = tx.verify().unwrap();
+        assert_eq!(verified.id(), id);
+        assert_eq!(verified.into_inner().id(), id);
+
+        let unsigned = Transaction::transfer(addr(&kp), Address::ZERO, 5, 0);
+        assert_eq!(unsigned.verify().unwrap_err(), LedgerError::BadSignature);
+        let mut tampered = Transaction::transfer(addr(&kp), Address::ZERO, 5, 0).signed(&kp);
+        tampered.value = 6;
+        assert!(!tampered.verify_signature());
+        assert_eq!(tampered.verify().unwrap_err(), LedgerError::BadSignature);
     }
 
     #[test]

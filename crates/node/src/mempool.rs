@@ -8,7 +8,7 @@
 //! and a typed error for every refusal so clients can distinguish
 //! back-pressure from permanent rejection.
 
-use pol_ledger::{Address, LedgerError, Transaction, TxId};
+use pol_ledger::{Address, LedgerError, TxId, VerifiedTx};
 use std::collections::BTreeMap;
 
 /// A successful admission outcome.
@@ -155,10 +155,11 @@ impl RejectionCounts {
 
 /// Nonce-gap parking: transactions that arrived ahead of their sender's
 /// next nonce, keyed `(sender, nonce)` and released in nonce order as
-/// gaps fill.
+/// gaps fill. Only verified transactions park, so a released one goes
+/// straight to the chain without a second signature check.
 #[derive(Debug, Default)]
 pub struct ParkingLot {
-    by_sender: BTreeMap<Address, BTreeMap<u64, (Transaction, u64)>>,
+    by_sender: BTreeMap<Address, BTreeMap<u64, (VerifiedTx, u64)>>,
     count: usize,
 }
 
@@ -188,7 +189,7 @@ impl ParkingLot {
     /// `(sender, nonce)`.
     pub fn park(
         &mut self,
-        tx: Transaction,
+        tx: VerifiedTx,
         admit_ms: u64,
         per_sender: usize,
     ) -> Result<(), AdmissionError> {
@@ -206,7 +207,7 @@ impl ParkingLot {
 
     /// Removes and returns the parked transaction of `sender` with
     /// exactly nonce `next`, if present — the gap just filled.
-    pub fn take_ready(&mut self, sender: Address, next: u64) -> Option<(Transaction, u64)> {
+    pub fn take_ready(&mut self, sender: Address, next: u64) -> Option<(VerifiedTx, u64)> {
         let slot = self.by_sender.get_mut(&sender)?;
         let entry = slot.remove(&next)?;
         if slot.is_empty() {
@@ -218,7 +219,7 @@ impl ParkingLot {
 
     /// Empties the lot, returning everything still parked (shutdown path:
     /// gaps that never filled).
-    pub fn drain_all(&mut self) -> Vec<(Transaction, u64)> {
+    pub fn drain_all(&mut self) -> Vec<(VerifiedTx, u64)> {
         let mut out = Vec::with_capacity(self.count);
         for (_, slot) in std::mem::take(&mut self.by_sender) {
             out.extend(slot.into_values());
@@ -232,11 +233,12 @@ impl ParkingLot {
 mod tests {
     use super::*;
     use pol_crypto::ed25519::Keypair;
+    use pol_ledger::Transaction;
 
-    fn tx(seed: u8, nonce: u64) -> Transaction {
+    fn tx(seed: u8, nonce: u64) -> VerifiedTx {
         let kp = Keypair::from_seed(&[seed; 32]);
         let from = Address::from_public_key(&kp.public);
-        Transaction::transfer(from, Address::ZERO, 1, nonce).signed(&kp)
+        Transaction::transfer(from, Address::ZERO, 1, nonce).signed(&kp).verify().unwrap()
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::config::{ConfigError, NodeConfig};
 use crate::mempool::{Admission, AdmissionError, ParkingLot, RejectionCounts};
 use crate::metrics::{LatencySummary, MetricsSnapshot};
 use pol_chainsim::Chain;
-use pol_ledger::{LedgerError, Receipt, Transaction, TxId};
+use pol_ledger::{LedgerError, Receipt, Transaction, TxId, VerifiedTx};
 use std::collections::HashMap;
 
 /// Why an admitted transaction was dropped instead of confirmed.
@@ -72,7 +72,7 @@ pub struct NodeService {
     /// Transactions the chain accepted, in submission order with their
     /// submission-time virtual clock — the ground truth for differential
     /// replay tests.
-    admitted_log: Vec<(u64, Transaction)>,
+    admitted_log: Vec<(u64, VerifiedTx)>,
 }
 
 impl NodeService {
@@ -117,7 +117,9 @@ impl NodeService {
     /// catches block production up to `at_ms` (a transaction cannot jump
     /// the slot grid), then applies admission policy: capacity check,
     /// signature check, nonce-gap parking, chain submission. Filling a
-    /// gap releases the sender's parked successors in nonce order.
+    /// gap releases the sender's parked successors in nonce order. The
+    /// signature is checked exactly once, here: parking and the chain
+    /// hold the [`VerifiedTx`] it produced.
     ///
     /// # Errors
     ///
@@ -143,9 +145,7 @@ impl NodeService {
         }
         // Verify before parking: garbage must not occupy parking slots
         // waiting for a gap to fill.
-        if !tx.verify_signature() {
-            return Err(AdmissionError::Rejected(LedgerError::BadSignature));
-        }
+        let tx = tx.verify()?;
         let now = self.chain.now_ms();
         let sender = tx.from;
         let id = tx.id();
@@ -336,7 +336,7 @@ impl NodeService {
     /// Chain-accepted transactions in submission order, each with the
     /// virtual time the chain saw it — the ground truth a differential
     /// replay must reproduce.
-    pub fn admitted_log(&self) -> &[(u64, Transaction)] {
+    pub fn admitted_log(&self) -> &[(u64, VerifiedTx)] {
         &self.admitted_log
     }
 }

@@ -22,7 +22,7 @@
 
 use pol_chainsim::{presets, Chain};
 use pol_crypto::ed25519::Keypair;
-use pol_ledger::{Address, Transaction, TxId};
+use pol_ledger::{Address, Transaction, TxId, VerifiedTx};
 use pol_node::{Admission, NodeConfig, NodeService, TxTerminal};
 use proptest::prelude::*;
 
@@ -167,7 +167,7 @@ proptest! {
         // --- Filtered sequential replay. -------------------------------
         // The admitted log holds exactly the chain-accepted transactions,
         // in chain order, stamped with their submission-time clock.
-        let log: Vec<(u64, Transaction)> = service.admitted_log().to_vec();
+        let log: Vec<(u64, VerifiedTx)> = service.admitted_log().to_vec();
         // Every chain-accepted tx confirms (zero lost), and only
         // chain-accepted txs confirm: the log is exactly the confirmed set.
         prop_assert_eq!(log.len() as u64, service.confirmed());
